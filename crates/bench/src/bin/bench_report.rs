@@ -20,8 +20,8 @@
 //! by more than [`TOLERANCE`].
 //!
 //! The JSON files are line-oriented on purpose — one entry per line — so
-//! this binary can read them back with no JSON dependency, and diffs stay
-//! reviewable.
+//! diffs stay reviewable; they are read back (like the shim's JSONL
+//! results) with the workspace's own `paradrive_obs::json` parser.
 //!
 //! Alongside the timing entries, each refreshed file carries a
 //! `"counters"` block: a workload-characterization snapshot (cache hit
@@ -30,6 +30,7 @@
 //! use distinct field names, so older readers of the entry lines skip
 //! them untouched.
 
+use paradrive_obs::json::{self, escape, Value};
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 use std::time::Instant;
@@ -45,8 +46,8 @@ const SUITES: [&str; 7] = [
     "fleet",
 ];
 
-/// Allowed relative regression of a calibration-normalized median before
-/// `--check` fails (0.2 = 20%).
+/// Allowed relative regression of a calibration-normalized minimum before
+/// `--check` fails (0.2 = 20%; see [`compare`] for why minima).
 const TOLERANCE: f64 = 0.2;
 
 /// Default `CRITERION_*` bounds applied when the caller has not set their
@@ -195,7 +196,7 @@ fn repo_root() -> PathBuf {
 }
 
 /// A fixed floating-point workload timed on this host: the unit that
-/// makes committed medians comparable across machines. Minimum of five
+/// makes committed timings comparable across machines. Minimum of five
 /// runs, so transient noise pushes the number up, never down.
 fn host_calib_ns() -> f64 {
     let mut best = f64::INFINITY;
@@ -238,7 +239,10 @@ fn run_suite(root: &Path, suite: &str, calib: f64) -> Result<Report, String> {
 
     let raw = std::fs::read_to_string(&jsonl)
         .map_err(|e| format!("no results at {} ({e})", jsonl.display()))?;
-    let mut entries: Vec<Entry> = raw.lines().filter_map(parse_entry).collect();
+    let mut entries: Vec<Entry> = raw
+        .lines()
+        .filter_map(|line| entry(&json::parse(line).ok()?))
+        .collect();
     if entries.is_empty() {
         return Err("suite produced no benchmark entries".to_string());
     }
@@ -373,13 +377,12 @@ fn counter_snapshot() -> Vec<(String, f64)> {
     out
 }
 
-/// Renders a report in the line-oriented JSON format. Counter lines use
-/// `"counter"`/`"value"` field names — none of the keys [`load_report`]
-/// scans for — so the baseline reader skips them by construction.
+/// Renders a report in the line-oriented JSON format. Counters live in
+/// their own `"counters"` array, which [`load_report`] does not read.
 fn render(report: &Report, counters: &[(String, f64)]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str(&format!("  \"suite\": \"{}\",\n", report.suite));
+    out.push_str(&format!("  \"suite\": {},\n", escape(&report.suite)));
     out.push_str(&format!(
         "  \"host_calib_ns\": {:.1},\n",
         report.host_calib_ns
@@ -392,8 +395,8 @@ fn render(report: &Report, counters: &[(String, f64)]) -> String {
             ""
         };
         out.push_str(&format!(
-            "    {{\"id\":\"{}\",\"min_ns\":{:.1},\"median_ns\":{:.1},\"mean_ns\":{:.1},\"samples\":{}}}{comma}\n",
-            e.id, e.min_ns, e.median_ns, e.mean_ns, e.samples
+            "    {{\"id\":{},\"min_ns\":{:.1},\"median_ns\":{:.1},\"mean_ns\":{:.1},\"samples\":{}}}{comma}\n",
+            escape(&e.id), e.min_ns, e.median_ns, e.mean_ns, e.samples
         ));
     }
     if counters.is_empty() {
@@ -405,82 +408,112 @@ fn render(report: &Report, counters: &[(String, f64)]) -> String {
     for (i, (name, value)) in counters.iter().enumerate() {
         let comma = if i + 1 < counters.len() { "," } else { "" };
         out.push_str(&format!(
-            "    {{\"counter\":\"{name}\",\"value\":{value:.1}}}{comma}\n"
+            "    {{\"counter\":{},\"value\":{value:.1}}}{comma}\n",
+            escape(name)
         ));
     }
     out.push_str("  ]\n}\n");
     out
 }
 
-/// Loads a committed `BENCH_<suite>.json` (the same line-oriented format
-/// [`render`] writes).
+/// Loads a committed `BENCH_<suite>.json` (the format [`render`] writes).
 fn load_report(path: &Path) -> Result<Report, String> {
     let raw = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let mut suite = None;
-    let mut calib = None;
-    let mut entries = Vec::new();
-    for line in raw.lines() {
-        if let Some(s) = field_str(line, "suite") {
-            suite = Some(s);
-        }
-        if let Some(v) = field_f64(line, "host_calib_ns") {
-            calib = Some(v);
-        }
-        if let Some(e) = parse_entry(line) {
-            entries.push(e);
-        }
+    let doc = json::parse(&raw).map_err(|e| e.to_string())?;
+    let malformed = || "malformed report file".to_string();
+    let entries: Vec<Entry> = doc
+        .get("entries")
+        .and_then(Value::as_array)
+        .ok_or_else(malformed)?
+        .iter()
+        .map(|e| entry(e).ok_or_else(malformed))
+        .collect::<Result<_, _>>()?;
+    if entries.is_empty() {
+        return Err(malformed());
     }
-    match (suite, calib) {
-        (Some(suite), Some(host_calib_ns)) if !entries.is_empty() => Ok(Report {
-            suite,
-            host_calib_ns,
-            entries,
-        }),
-        _ => Err("malformed report file".to_string()),
-    }
-}
-
-/// Parses one `{"id":…,"min_ns":…,…}` line; `None` for anything else.
-fn parse_entry(line: &str) -> Option<Entry> {
-    Some(Entry {
-        id: field_str(line, "id")?,
-        min_ns: field_f64(line, "min_ns")?,
-        median_ns: field_f64(line, "median_ns")?,
-        mean_ns: field_f64(line, "mean_ns")?,
-        samples: field_f64(line, "samples")? as usize,
+    Ok(Report {
+        suite: doc
+            .get("suite")
+            .and_then(Value::as_str)
+            .ok_or_else(malformed)?
+            .to_string(),
+        host_calib_ns: doc
+            .get("host_calib_ns")
+            .and_then(Value::as_f64)
+            .ok_or_else(malformed)?,
+        entries,
     })
 }
 
-/// Extracts a string field from a single-line JSON object, undoing the
-/// shim's minimal escaping.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let rest = field_raw(line, key)?;
-    let rest = rest.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(ch) = chars.next() {
-        match ch {
-            '\\' => out.push(chars.next()?),
-            '"' => return Some(out),
-            _ => out.push(ch),
+/// Reads one `{"id":…,"min_ns":…,…}` object; `None` for anything else.
+fn entry(v: &Value) -> Option<Entry> {
+    let num = |key| v.get(key).and_then(Value::as_f64);
+    Some(Entry {
+        id: v.get("id")?.as_str()?.to_string(),
+        min_ns: num("min_ns")?,
+        median_ns: num("median_ns")?,
+        mean_ns: num("mean_ns")?,
+        samples: num("samples")? as usize,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rendered_reports_load_back_and_committed_baselines_load() {
+        let report = Report {
+            suite: "kernels".to_string(),
+            host_calib_ns: 8_041_143.0,
+            entries: vec![Entry {
+                id: "odd/\"quoted\"\\path\nline\u{1}".to_string(),
+                min_ns: 1.5,
+                median_ns: 2.0,
+                mean_ns: 2.5,
+                samples: 12,
+            }],
+        };
+        let dir = std::env::temp_dir().join(format!("bench_report_test_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_kernels.json");
+        let counters = [("cache.hit_rate_pct".to_string(), 65.2)];
+        std::fs::write(&path, render(&report, &counters)).unwrap();
+        let back = load_report(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(back.suite, report.suite);
+        assert_eq!(back.host_calib_ns, report.host_calib_ns);
+        assert_eq!(back.entries, report.entries);
+
+        // Every committed baseline loads, and what loads re-renders to
+        // the file byte for byte — the reader drops nothing it wrote.
+        let root = repo_root();
+        let mut seen = 0;
+        for file in std::fs::read_dir(&root).unwrap() {
+            let path = file.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            let raw = std::fs::read_to_string(&path).unwrap();
+            let report = load_report(&path).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let doc = json::parse(&raw).unwrap();
+            let counters: Vec<(String, f64)> = doc
+                .get("counters")
+                .and_then(Value::as_array)
+                .unwrap_or_default()
+                .iter()
+                .map(|c| {
+                    let counter = c.get("counter").and_then(Value::as_str).unwrap();
+                    (
+                        counter.to_string(),
+                        c.get("value").and_then(Value::as_f64).unwrap(),
+                    )
+                })
+                .collect();
+            assert_eq!(render(&report, &counters), raw, "{name}");
+            seen += 1;
         }
+        assert_eq!(seen, SUITES.len());
     }
-    None
-}
-
-/// Extracts a numeric field from a single-line JSON object.
-fn field_f64(line: &str, key: &str) -> Option<f64> {
-    let rest = field_raw(line, key)?;
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// The text immediately after `"key":`, whitespace-tolerant.
-fn field_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\"");
-    let at = line.find(&needle)?;
-    let rest = line[at + needle.len()..].trim_start();
-    rest.strip_prefix(':').map(str::trim_start)
 }

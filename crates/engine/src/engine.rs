@@ -18,17 +18,19 @@
 
 use crate::batch::{Batch, Costing, EngineConfig};
 use crate::cache::{CachedCostModel, DecompositionCache};
-use crate::report::{BatchSummary, CircuitReport, EngineReport};
+use crate::report::{CircuitReport, EngineReport};
 use crate::EngineError;
 use paradrive_core::flow::evaluate_with_calibration;
 use paradrive_core::rules::{BaselineSqrtIswap, ParallelDriveRules, SynthesizedParallelDrive};
 use paradrive_obs::{Counter, Recorder, Trace};
-use paradrive_transpiler::consolidate::consolidate;
+use paradrive_transpiler::calibration::Calibration;
+use paradrive_transpiler::consolidate::{consolidate, Item};
+use paradrive_transpiler::fidelity::FidelityModel;
 use paradrive_transpiler::routing::{route_with_oracle, NoiseOracle, Routed, RouterOptions};
+use paradrive_transpiler::topology::CouplingMap;
+use paradrive_transpiler::CostModel;
 use paradrive_transpiler::TranspileError;
-use paradrive_transpiler::{CostModel, GateCost};
 use paradrive_verify::{verify, Physical, Verification, VerifyLevel};
-use paradrive_weyl::WeylPoint;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -38,6 +40,21 @@ use std::time::{Duration, Instant};
 /// submission index and its finished report. Must be `Sync` — workers
 /// call it concurrently.
 pub type JobSink<'a> = dyn Fn(usize, CircuitReport) + Sync + 'a;
+
+/// The streaming core's sink: a [`JobSink`] that also takes the job's
+/// consolidated items, so a caller that keeps the route (the fleet) never
+/// consolidates it a second time.
+pub(crate) type ItemSink<'a> = dyn Fn(usize, CircuitReport, Vec<Item>) + Sync + 'a;
+
+/// A `(baseline, optimized)` decomposition-cache pair.
+pub(crate) type CachePair = (DecompositionCache, DecompositionCache);
+
+/// A cold cache pair, or `None` with [`EngineConfig::cache`] off.
+pub(crate) fn fresh_caches(config: &EngineConfig) -> Option<CachePair> {
+    config
+        .cache
+        .then(|| (DecompositionCache::new(), DecompositionCache::new()))
+}
 
 /// Runs every job in `batch` and returns the aggregated report.
 ///
@@ -53,15 +70,14 @@ pub type JobSink<'a> = dyn Fn(usize, CircuitReport) + Sync + 'a;
 pub fn run_batch(batch: &Batch, config: &EngineConfig) -> Result<EngineReport, EngineError> {
     let slots: Vec<Mutex<Option<CircuitReport>>> =
         (0..batch.len()).map(|_| Mutex::new(None)).collect();
-    let summary = run_batch_streaming(batch, config, &|job, report| {
+    let mut report = run_batch_streaming(batch, config, &|job, report| {
         *slots[job].lock().expect("report slot poisoned") = Some(report);
     })?;
-    let mut circuits: Vec<CircuitReport> = slots
-        .iter()
+    report.circuits = slots
+        .into_iter()
         .map(|slot| {
-            slot.lock()
+            slot.into_inner()
                 .expect("report slot poisoned")
-                .take()
                 .expect("every successful job produces a report")
         })
         .collect();
@@ -70,9 +86,9 @@ pub fn run_batch(batch: &Batch, config: &EngineConfig) -> Result<EngineReport, E
     // timing path (workers leave placeholders). A job's route time sums
     // its per-seed "route" spans; its pipeline time sums the sequential
     // back-half stages.
-    let mut route_ns = vec![0u64; circuits.len()];
-    let mut back_ns = vec![0u64; circuits.len()];
-    for s in &summary.trace.spans {
+    let mut route_ns = vec![0u64; report.circuits.len()];
+    let mut back_ns = vec![0u64; report.circuits.len()];
+    for s in &report.trace.spans {
         let per_job = if s.name == "route" {
             &mut route_ns
         } else {
@@ -82,19 +98,11 @@ pub fn run_batch(batch: &Batch, config: &EngineConfig) -> Result<EngineReport, E
             *slot += s.dur_ns;
         }
     }
-    for (j, c) in circuits.iter_mut().enumerate() {
+    for (j, c) in report.circuits.iter_mut().enumerate() {
         c.route_time = Duration::from_nanos(route_ns[j]);
         c.pipeline_time = Duration::from_nanos(back_ns[j]);
     }
-
-    Ok(EngineReport {
-        circuits,
-        threads: summary.threads,
-        wall_clock: summary.wall_clock,
-        baseline_cache: summary.baseline_cache,
-        optimized_cache: summary.optimized_cache,
-        trace: summary.trace,
-    })
+    Ok(report)
 }
 
 /// Runs every job in `batch`, handing each finished [`CircuitReport`] to
@@ -104,9 +112,11 @@ pub fn run_batch(batch: &Batch, config: &EngineConfig) -> Result<EngineReport, E
 ///
 /// The sink runs on worker threads (hence the `Sync` bound) and may be
 /// called in any completion order; job indices refer to submission order.
-/// Reports arrive with zero `route_time`/`pipeline_time` — per-job wall
-/// times can be rebuilt from the returned [`BatchSummary::trace`] by
-/// summing span durations keyed by job index (see [`run_batch`]).
+/// The returned [`EngineReport`] carries everything but the per-job
+/// reports: its `circuits` are left empty. Streamed reports arrive with
+/// zero `route_time`/`pipeline_time` — per-job wall times can be rebuilt
+/// from [`EngineReport::trace`] by summing span durations keyed by job
+/// index (see [`run_batch`]).
 ///
 /// # Errors
 ///
@@ -117,33 +127,27 @@ pub fn run_batch_streaming(
     batch: &Batch,
     config: &EngineConfig,
     sink: &JobSink<'_>,
-) -> Result<BatchSummary, EngineError> {
-    let owned = config
-        .cache
-        .then(|| (DecompositionCache::new(), DecompositionCache::new()));
-    run_batch_streaming_with_caches(batch, config, sink, owned.as_ref().map(|(b, o)| (b, o)))
+) -> Result<EngineReport, EngineError> {
+    let caches = fresh_caches(config);
+    run_core(batch, config, caches.as_ref(), &|job, report, _| {
+        sink(job, report)
+    })
 }
 
-/// [`run_batch_streaming`] with caller-owned decomposition caches.
-///
-/// The `(baseline, optimized)` cache pair — when given — supersedes
-/// [`EngineConfig::cache`], and the caches outlive the call: a driver that
-/// replays many batches (the fleet policy loop re-transpiling across
-/// calibration epochs) shares one warm pair across all of them instead of
-/// rebuilding cold caches per batch. Cached and uncached runs produce
-/// bit-identical reports, so sharing only changes wall clock, never
-/// results; the returned [`BatchSummary`] carries the pair's *cumulative*
-/// stats.
-///
-/// # Errors
-///
-/// Exactly as [`run_batch_streaming`].
-pub fn run_batch_streaming_with_caches(
+/// The one engine back half behind [`run_batch`], [`run_batch_streaming`]
+/// and the fleet replay: runs the batch with the given cache pair (which
+/// supersedes [`EngineConfig::cache`] and may outlive the call, so a
+/// driver replaying many batches shares one warm pair) and streams each
+/// finished job's report and consolidated items to `sink`. Cached and
+/// uncached runs produce bit-identical reports; the returned report's
+/// cache stats are the pair's *cumulative* counters, and its `circuits`
+/// are empty.
+pub(crate) fn run_core(
     batch: &Batch,
     config: &EngineConfig,
-    sink: &JobSink<'_>,
-    caches: Option<(&DecompositionCache, &DecompositionCache)>,
-) -> Result<BatchSummary, EngineError> {
+    caches: Option<&CachePair>,
+    sink: &ItemSink<'_>,
+) -> Result<EngineReport, EngineError> {
     let started = Instant::now();
     let seeds = config.routing_seeds.max(1) as usize;
     let n_jobs = batch.len();
@@ -180,9 +184,7 @@ pub fn run_batch_streaming_with_caches(
         config,
         noise,
         seeds,
-        baseline: BaselineSqrtIswap::new(config.d_1q),
-        optimized: OptimizedModel::new(config),
-        caches,
+        scorer: Scorer::new(config, caches),
         next_unit: AtomicUsize::new(0),
         units_left: (0..n_jobs).map(|_| AtomicUsize::new(seeds)).collect(),
         routed: (0..unit_count).map(|_| Mutex::new(None)).collect(),
@@ -215,7 +217,8 @@ pub fn run_batch_streaming_with_caches(
         fold_shard_counters(&mut trace, "cache.optimized", ocache);
     }
 
-    Ok(BatchSummary {
+    Ok(EngineReport {
+        circuits: Vec::new(),
         threads,
         wall_clock: started.elapsed(),
         baseline_cache: caches.map(|(b, _)| b.stats()),
@@ -248,44 +251,75 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The optimized-side cost model, chosen by [`Costing`]. Shared with the
-/// fleet policy layer so kept-route re-scoring uses the exact model the
-/// engine's back half would.
-pub(crate) enum OptimizedModel {
-    Hull(ParallelDriveRules),
-    Synthesized(SynthesizedParallelDrive),
+/// Scores consolidated items into a [`CircuitReport`]: both cost models,
+/// routed through the cache pair when there is one. The engine's back
+/// half and the fleet's kept-route re-score share it, so a kept route is
+/// charged with exactly the arithmetic a fresh transpile would use.
+///
+/// `CostModel` has no `Sync` bound, but workers share the models by
+/// reference, so the optimized model's trait object requires it.
+pub(crate) struct Scorer<'a> {
+    baseline: BaselineSqrtIswap,
+    /// The optimized-side model, chosen by [`Costing`].
+    optimized: Box<dyn CostModel + Sync>,
+    caches: Option<&'a CachePair>,
+    fidelity: FidelityModel,
 }
 
-impl OptimizedModel {
-    pub(crate) fn new(config: &EngineConfig) -> Self {
-        match config.costing {
-            Costing::Hull => OptimizedModel::Hull(ParallelDriveRules::new(config.d_1q)),
-            Costing::Synthesized => {
-                OptimizedModel::Synthesized(SynthesizedParallelDrive::new(config.d_1q))
+impl<'a> Scorer<'a> {
+    pub(crate) fn new(config: &EngineConfig, caches: Option<&'a CachePair>) -> Self {
+        Scorer {
+            baseline: BaselineSqrtIswap::new(config.d_1q),
+            optimized: match config.costing {
+                Costing::Hull => Box::new(ParallelDriveRules::new(config.d_1q)),
+                Costing::Synthesized => Box::new(SynthesizedParallelDrive::new(config.d_1q)),
+            },
+            caches,
+            fidelity: config.fidelity,
+        }
+    }
+
+    /// The report for `items` routed on `map` with `swaps` SWAPs, scored
+    /// under `cal` (`None`: the homogeneous model). The routed circuit,
+    /// verdict and wall times are left for the caller to fill in.
+    pub(crate) fn score(
+        &self,
+        name: &str,
+        items: &[Item],
+        swaps: usize,
+        map: &CouplingMap,
+        circuit_qubits: usize,
+        cal: Option<&Calibration>,
+    ) -> CircuitReport {
+        let cached;
+        let (baseline, optimized): (&dyn CostModel, &dyn CostModel) = match self.caches {
+            Some((bcache, ocache)) => {
+                cached = (
+                    CachedCostModel::new(&self.baseline, bcache),
+                    CachedCostModel::new(&*self.optimized, ocache),
+                );
+                (&cached.0, &cached.1)
             }
-        }
-    }
-}
-
-impl CostModel for OptimizedModel {
-    fn cost(&self, target: WeylPoint) -> GateCost {
-        match self {
-            OptimizedModel::Hull(m) => m.cost(target),
-            OptimizedModel::Synthesized(m) => m.cost(target),
-        }
-    }
-
-    fn d_1q(&self) -> f64 {
-        match self {
-            OptimizedModel::Hull(m) => m.d_1q(),
-            OptimizedModel::Synthesized(m) => m.d_1q(),
-        }
-    }
-
-    fn name(&self) -> &str {
-        match self {
-            OptimizedModel::Hull(m) => m.name(),
-            OptimizedModel::Synthesized(m) => m.name(),
+            None => (&self.baseline, &*self.optimized),
+        };
+        CircuitReport {
+            result: evaluate_with_calibration(
+                name,
+                items,
+                swaps,
+                baseline,
+                optimized,
+                map.n_qubits(),
+                circuit_qubits,
+                self.fidelity,
+                cal,
+            ),
+            topology: map.label().to_string(),
+            calibration: cal.map_or_else(|| "uniform".to_string(), |c| c.label().to_string()),
+            routed: None,
+            verification: None,
+            route_time: Duration::ZERO,
+            pipeline_time: Duration::ZERO,
         }
     }
 }
@@ -299,9 +333,7 @@ struct Shared<'a, 'sink> {
     /// of the job's routing units reports.
     noise: Vec<Result<Option<NoiseOracle>, TranspileError>>,
     seeds: usize,
-    baseline: BaselineSqrtIswap,
-    optimized: OptimizedModel,
-    caches: Option<(&'a DecompositionCache, &'a DecompositionCache)>,
+    scorer: Scorer<'a>,
     /// Cursor over the flattened `(job, seed)` routing units.
     next_unit: AtomicUsize,
     /// Routing units still outstanding per job; the worker that drops a
@@ -317,9 +349,10 @@ struct Shared<'a, 'sink> {
     /// spans are keyed by job index so `run_batch` can rebuild per-job
     /// times from the drained trace.
     rec: Recorder,
-    /// Where finished reports go, called on the finishing worker — the
-    /// engine itself retains nothing per job beyond the error slots.
-    sink: &'sink JobSink<'sink>,
+    /// Where finished reports (and their items) go, called on the
+    /// finishing worker — the engine itself retains nothing per job beyond
+    /// the error slots.
+    sink: &'sink ItemSink<'sink>,
 }
 
 impl Shared<'_, '_> {
@@ -356,7 +389,7 @@ impl Shared<'_, '_> {
             // job's back half right away and streams the report out.
             if self.units_left[job].fetch_sub(1, Ordering::AcqRel) == 1 {
                 match self.finish_job(job) {
-                    Ok(report) => (self.sink)(job, report),
+                    Ok((report, items)) => (self.sink)(job, report, items),
                     Err(e) => {
                         *self.failures[job].lock().expect("failure slot poisoned") = Some(e);
                     }
@@ -369,9 +402,9 @@ impl Shared<'_, '_> {
     /// fully routed job. Each stage runs under its own span (keyed by the
     /// job index, labeled by the job name); the spans are sequential, so
     /// their summed duration is the job's pipeline time — `run_batch`
-    /// rebuilds it from the trace, and the placeholders below stay zero
-    /// until then.
-    fn finish_job(&self, job: usize) -> Result<CircuitReport, TranspileError> {
+    /// rebuilds it from the trace, and the placeholders stay zero until
+    /// then.
+    fn finish_job(&self, job: usize) -> Result<(CircuitReport, Vec<Item>), TranspileError> {
         let spec = &self.batch.jobs()[job];
         let stage = |name| self.rec.span_full(name, job as u64, || spec.name.clone());
         let cal = self.batch.calibration_for(job);
@@ -439,54 +472,21 @@ impl Shared<'_, '_> {
             self.rec.add("verify.samples", *samples as u64);
         }
         let _span = stage("schedule");
-        let result = match self.caches {
-            Some((bcache, ocache)) => evaluate_with_calibration(
-                &spec.name,
-                &items,
-                best.swaps_inserted,
-                &CachedCostModel::new(&self.baseline, bcache),
-                &CachedCostModel::new(&self.optimized, ocache),
-                map.n_qubits(),
-                spec.circuit.n_qubits(),
-                self.config.fidelity,
-                cal,
-            ),
-            None => evaluate_with_calibration(
-                &spec.name,
-                &items,
-                best.swaps_inserted,
-                &self.baseline,
-                &self.optimized,
-                map.n_qubits(),
-                spec.circuit.n_qubits(),
-                self.config.fidelity,
-                cal,
-            ),
-        };
-
-        Ok(CircuitReport {
-            result,
-            topology: map.label().to_string(),
-            calibration: cal.map_or_else(|| "uniform".to_string(), |c| c.label().to_string()),
+        let report = CircuitReport {
             routed: self.config.keep_routed.then_some(best.circuit),
             verification,
-            // Filled from the drained trace by `run_batch`.
-            route_time: Duration::ZERO,
-            pipeline_time: Duration::ZERO,
-        })
+            ..self.scorer.score(
+                &spec.name,
+                &items,
+                best.swaps_inserted,
+                map,
+                spec.circuit.n_qubits(),
+                cal,
+            )
+        };
+        Ok((report, items))
     }
 }
-
-// `CostModel` has no `Sync` bound, so make the assumptions explicit: both
-// models are plain-old-data plus lazily initialized shared coverage
-// stacks, and the engine hands them to scoped workers by reference.
-const _: () = {
-    const fn assert_sync<T: Sync>() {}
-    assert_sync::<BaselineSqrtIswap>();
-    assert_sync::<ParallelDriveRules>();
-    assert_sync::<SynthesizedParallelDrive>();
-    assert_sync::<DecompositionCache>();
-};
 
 #[cfg(test)]
 mod tests {
@@ -607,11 +607,6 @@ mod tests {
         // Routed circuits are as wide as their own device, not the default.
         assert_eq!(one.circuits[1].routed.as_ref().unwrap().n_qubits(), 10);
         assert_eq!(one.circuits[2].routed.as_ref().unwrap().n_qubits(), 7);
-
-        let groups = one.by_topology();
-        assert_eq!(groups.len(), 3);
-        assert_eq!(groups[1].topology, "ring10");
-        assert_eq!(groups[1].circuits, 2);
     }
 
     #[test]
@@ -685,10 +680,12 @@ mod tests {
                 y.result.optimized_total_fidelity.to_bits()
             );
         }
-        let groups = one.by_calibration();
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0].calibration, "spread0.3");
-        assert_eq!(groups[1].calibration, "hotspot2");
+        let labels: Vec<&str> = one
+            .circuits
+            .iter()
+            .map(|c| c.calibration.as_str())
+            .collect();
+        assert_eq!(labels, ["spread0.3", "spread0.3", "hotspot2", "hotspot2"]);
     }
 
     #[test]
@@ -786,7 +783,7 @@ mod tests {
             .verify(VerifyLevel::Exact);
         let slots: Vec<Mutex<Option<CircuitReport>>> =
             (0..batch.len()).map(|_| Mutex::new(None)).collect();
-        let summary = run_batch_streaming(&batch, &config, &|job, report| {
+        let mut streamed = run_batch_streaming(&batch, &config, &|job, report| {
             let mut slot = slots[job].lock().unwrap();
             assert!(slot.is_none(), "job {job} delivered twice");
             // Streamed reports leave the wall times as placeholders; the
@@ -796,17 +793,12 @@ mod tests {
             *slot = Some(report);
         })
         .unwrap();
-        let streamed = EngineReport {
-            circuits: slots
-                .into_iter()
-                .map(|slot| slot.into_inner().unwrap().expect("every job delivered"))
-                .collect(),
-            threads: summary.threads,
-            wall_clock: summary.wall_clock,
-            baseline_cache: summary.baseline_cache,
-            optimized_cache: summary.optimized_cache,
-            trace: summary.trace,
-        };
+        // The streaming report retains no per-job results.
+        assert!(streamed.circuits.is_empty());
+        streamed.circuits = slots
+            .into_iter()
+            .map(|slot| slot.into_inner().unwrap().expect("every job delivered"))
+            .collect();
         let full = run_batch(&batch, &config).unwrap();
         results_identical(&full, &streamed);
         // The collecting wrapper rebuilds per-job wall times from spans.

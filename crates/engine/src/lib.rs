@@ -11,23 +11,27 @@
 //!   optional per-job overrides ([`Batch::push_on`]) so one batch can
 //!   span a whole topology × workload cross-product (a *heterogeneous*
 //!   batch — see the `sweep` CLI in `crates/repro`);
-//! - [`run_batch`] fans both circuits *and* the routing seeds inside each
-//!   circuit across a [`std::thread::scope`] worker pool — deterministic
-//!   and bit-for-bit identical to the sequential pipeline at any thread
-//!   count. [`run_batch_streaming`] is the constant-memory variant: each
-//!   finished [`CircuitReport`] is handed to a caller sink on the worker
-//!   that completed it, so peak report retention is O(in-flight), not
-//!   O(batch) — the entry point the sharded sweep folds through;
+//! - two entry points share one engine back half, which fans both
+//!   circuits *and* the routing seeds inside each circuit across a
+//!   [`std::thread::scope`] worker pool — deterministic and bit-for-bit
+//!   identical to the sequential pipeline at any thread count.
+//!   [`run_batch_streaming`] hands each finished [`CircuitReport`] to a
+//!   caller sink on the worker that completed it, so peak report
+//!   retention is O(in-flight), not O(batch) — the entry point the
+//!   sharded sweep folds through. [`run_batch`] is a collecting sink over
+//!   it that returns every report in submission order. The fleet replay
+//!   ([`run_fleet`]) drives the same back half with a warm cache pair
+//!   shared across epochs;
 //! - [`DecompositionCache`] memoizes any
 //!   [`CostModel`](paradrive_transpiler::CostModel) across the whole
 //!   batch, keyed by the quantized
 //!   [`WeylKey`](paradrive_weyl::WeylKey) with exact-bit verification,
 //!   and reports hit/miss counters;
-//! - [`EngineReport`] aggregates per-circuit results, timings, cache
-//!   statistics and the batch wall clock, with per-topology rollups
-//!   ([`EngineReport::by_topology`]) for heterogeneous batches and
-//!   per-calibration rollups ([`EngineReport::by_calibration`]) for
-//!   calibrated ones;
+//! - [`EngineReport`] carries per-circuit results, timings, cache
+//!   statistics, the batch trace and the batch wall clock. Grouped
+//!   rollups (per topology, calibration or drift epoch) are not the
+//!   engine's job: the sweep's exact, mergeable `RunRollup` monoid in
+//!   `paradrive-repro` is the one aggregator;
 //! - jobs may carry a device
 //!   [`Calibration`](paradrive_transpiler::calibration::Calibration)
 //!   ([`Batch::push_calibrated`]): scheduling then charges per-edge 2Q
@@ -40,7 +44,8 @@
 //!   [`paradrive_verify`] equivalence oracles (exact up-to-permutation on
 //!   small supports, seeded Monte-Carlo beyond), with verdicts surfaced
 //!   per circuit ([`CircuitReport::verification`]) and batch-wide
-//!   ([`EngineReport::verification_summary`]).
+//!   ([`EngineReport::verification_summary`], folded through the
+//!   [`VerificationSummary`] monoid the sweep rollup shares).
 //!
 //! # Example
 //!
@@ -68,17 +73,14 @@ mod report;
 
 pub use batch::{Batch, Costing, EngineConfig, Job};
 pub use cache::{CacheStats, CachedCostModel, DecompositionCache, ShardStats};
-pub use engine::{run_batch, run_batch_streaming, run_batch_streaming_with_caches, JobSink};
+pub use engine::{run_batch, run_batch_streaming, JobSink};
 pub use paradrive_obs::{StageStats, Trace};
 pub use paradrive_verify::{Verification, VerifyLevel};
 pub use policy::{
     run_fleet, EpochDecision, FleetEpochReport, FleetJob, FleetJobReport, FleetReport,
     RetranspilePolicy,
 };
-pub use report::{
-    BatchSummary, CalibrationSummary, CircuitReport, EngineReport, MetricsSummary, TopologySummary,
-    VerificationSummary,
-};
+pub use report::{CircuitReport, EngineReport, MetricsSummary, VerificationSummary};
 
 use paradrive_transpiler::TranspileError;
 

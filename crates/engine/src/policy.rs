@@ -16,33 +16,35 @@
 //!   eaten relative to its adoption epoch — and either **keeps** the
 //!   route (re-scored under the new calibration, no routing work) or
 //!   **re-transpiles** it through the full engine pipeline;
-//! - one [`DecompositionCache`] pair is shared across every epoch (see
-//!   [`run_batch_streaming_with_caches`]), so re-transpiles revisit warm
-//!   Weyl classes instead of rebuilding cold caches per epoch.
+//! - re-transpiles run through the same engine back half as
+//!   [`run_batch_streaming`], which hands back each job's consolidated
+//!   items with its report, so an adopted route is never consolidated
+//!   twice; kept routes are re-scored by the back half's own scoring code;
+//! - one [`DecompositionCache`] pair is shared across every epoch, so
+//!   re-transpiles revisit warm Weyl classes instead of rebuilding cold
+//!   caches per epoch.
 //!
 //! The outcome is a [`FleetReport`]: per-epoch, per-job reports with
-//! their decisions, plus fleet rollups (mean delivered fidelity over
-//! time, re-transpile rate, route-reuse rate per epoch). Everything
-//! deterministic is a pure function of `(jobs, config, policy)` —
-//! bit-identical at any thread count; wall clock and cache counters stay
-//! quarantined in the trace.
+//! their decisions. Fleet rollups (mean delivered fidelity over time,
+//! re-transpile rate, route-reuse rate per epoch) are computed by the
+//! sweep's `RunRollup`, the one aggregator. Everything deterministic is a
+//! pure function of `(jobs, config, policy)` — bit-identical at any
+//! thread count; wall clock and cache counters stay quarantined in the
+//! trace.
 //!
 //! [`CalibrationTimeline`]: paradrive_transpiler::calibration::drift::CalibrationTimeline
 //! [`Calibration::routed_survival`]: paradrive_transpiler::calibration::Calibration::routed_survival
-//! [`run_batch_streaming_with_caches`]: crate::run_batch_streaming_with_caches
+//! [`run_batch_streaming`]: crate::run_batch_streaming
 //! [`DecompositionCache`]: crate::DecompositionCache
 
 use crate::batch::{Batch, EngineConfig};
-use crate::cache::{CachedCostModel, DecompositionCache};
-use crate::engine::{run_batch_streaming_with_caches, OptimizedModel};
+use crate::engine::{fresh_caches, run_core, Scorer};
 use crate::report::CircuitReport;
 use crate::EngineError;
 use paradrive_circuit::Circuit;
-use paradrive_core::flow::evaluate_with_calibration;
-use paradrive_core::rules::BaselineSqrtIswap;
 use paradrive_obs::Trace;
 use paradrive_transpiler::calibration::drift::CalibrationTimeline;
-use paradrive_transpiler::consolidate::{consolidate, Item};
+use paradrive_transpiler::consolidate::Item;
 use paradrive_transpiler::topology::CouplingMap;
 use paradrive_verify::Verification;
 use std::str::FromStr;
@@ -190,45 +192,6 @@ pub struct FleetEpochReport {
     pub jobs: Vec<FleetJobReport>,
 }
 
-impl FleetEpochReport {
-    fn count(&self, d: EpochDecision) -> usize {
-        self.jobs.iter().filter(|j| j.decision == d).count()
-    }
-
-    /// Jobs that kept their cached route this epoch.
-    pub fn kept(&self) -> usize {
-        self.count(EpochDecision::Kept)
-    }
-
-    /// Jobs that re-transpiled this epoch.
-    pub fn retranspiled(&self) -> usize {
-        self.count(EpochDecision::Retranspiled)
-    }
-
-    /// Mean delivered (optimized total) fidelity over this epoch's jobs,
-    /// `NaN` when empty.
-    pub fn mean_delivered_ft(&self) -> f64 {
-        if self.jobs.is_empty() {
-            return f64::NAN;
-        }
-        self.jobs
-            .iter()
-            .map(|j| j.report.result.optimized_total_fidelity)
-            .sum::<f64>()
-            / self.jobs.len() as f64
-    }
-
-    /// Fraction of jobs that reused their cached route this epoch — the
-    /// deterministic "cache hit decay" signal (`0.0` at epoch 0, where
-    /// every job is fresh; `NaN` when empty).
-    pub fn route_reuse_rate(&self) -> f64 {
-        if self.jobs.is_empty() {
-            return f64::NAN;
-        }
-        self.kept() as f64 / self.jobs.len() as f64
-    }
-}
-
 /// The outcome of one [`run_fleet`] replay.
 #[derive(Debug, Clone)]
 pub struct FleetReport {
@@ -244,38 +207,6 @@ pub struct FleetReport {
     /// Wall-clock-bearing — never render it into the deterministic
     /// report.
     pub trace: Trace,
-}
-
-impl FleetReport {
-    /// Mean delivered (optimized total) fidelity over every `(epoch,
-    /// job)` cell, `NaN` when empty.
-    pub fn mean_delivered_fidelity(&self) -> f64 {
-        let n: usize = self.epochs.iter().map(|e| e.jobs.len()).sum();
-        if n == 0 {
-            return f64::NAN;
-        }
-        self.epochs
-            .iter()
-            .flat_map(|e| &e.jobs)
-            .map(|j| j.report.result.optimized_total_fidelity)
-            .sum::<f64>()
-            / n as f64
-    }
-
-    /// Total re-transpiles ordered after epoch 0 — the policy's cost.
-    pub fn total_retranspiles(&self) -> usize {
-        self.epochs.iter().map(|e| e.retranspiled()).sum()
-    }
-
-    /// Fraction of post-epoch-0 decisions that ordered a re-transpile,
-    /// `NaN` with fewer than two epochs.
-    pub fn retranspile_rate(&self) -> f64 {
-        let decisions: usize = self.epochs.iter().skip(1).map(|e| e.jobs.len()).sum();
-        if decisions == 0 {
-            return f64::NAN;
-        }
-        self.total_retranspiles() as f64 / decisions as f64
-    }
 }
 
 /// A job's cached transpilation, adopted at its last fresh/re-transpile
@@ -297,9 +228,10 @@ struct Adopted {
 /// per job (see [`RetranspilePolicy`]). Kept jobs are re-scored under the
 /// new calibration without routing; re-transpiled jobs go through the
 /// full engine pipeline as one sub-batch per epoch, sharing a single warm
-/// [`DecompositionCache`] pair across all epochs. Kept jobs carry their
-/// adoption verification verdict forward — the routed circuit is
-/// unchanged, so the verdict is too.
+/// [`DecompositionCache`](crate::DecompositionCache) pair across all
+/// epochs and adopting the engine's consolidated items as-is. Kept jobs
+/// carry their adoption verification verdict forward — the routed
+/// circuit is unchanged, so the verdict is too.
 ///
 /// Deterministic outputs are pure functions of `(jobs, config, policy)`:
 /// bit-identical at any thread count.
@@ -338,16 +270,12 @@ pub fn run_fleet(
 
     // One warm cache pair for the whole fleet: re-transpiles at late
     // epochs revisit the Weyl classes epoch 0 already decomposed.
-    let caches = config
-        .cache
-        .then(|| (DecompositionCache::new(), DecompositionCache::new()));
-    let cache_refs = caches.as_ref().map(|(b, o)| (b, o));
+    let caches = fresh_caches(config);
     // Sub-batches must keep routed circuits — the cached route *is* the
     // fleet's working state; the caller's `keep_routed` governs only what
     // the emitted reports retain.
     let inner = config.keep_routed(true);
-    let baseline = BaselineSqrtIswap::new(config.d_1q);
-    let optimized = OptimizedModel::new(config);
+    let scorer = Scorer::new(config, caches.as_ref());
 
     let mut adopted: Vec<Option<Adopted>> = (0..jobs.len()).map(|_| None).collect();
     let mut epochs = Vec::with_capacity(n_epochs);
@@ -382,14 +310,15 @@ pub fn run_fleet(
             })
             .collect();
 
-        // Re-transpile the stale jobs as one engine sub-batch.
+        // Re-transpile the stale jobs as one engine sub-batch; the engine
+        // hands back each job's consolidated items with its report.
         let stale: Vec<usize> = decisions
             .iter()
             .enumerate()
             .filter(|(_, (d, _))| *d != EpochDecision::Kept)
             .map(|(j, _)| j)
             .collect();
-        let mut fresh_reports: Vec<Option<CircuitReport>> = (0..jobs.len()).map(|_| None).collect();
+        let fresh: Vec<Mutex<Option<_>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
         if !stale.is_empty() {
             let mut batch = Batch::with_shared(Arc::clone(&jobs[stale[0]].map));
             for &j in &stale {
@@ -401,91 +330,52 @@ pub fn run_fleet(
                     job.timeline.snapshot_shared(epoch),
                 );
             }
-            let slots: Vec<Mutex<Option<CircuitReport>>> =
-                stale.iter().map(|_| Mutex::new(None)).collect();
-            let summary = run_batch_streaming_with_caches(
-                &batch,
-                &inner,
-                &|i, report| {
-                    *slots[i].lock().expect("report slot poisoned") = Some(report);
-                },
-                cache_refs,
-            )?;
-            threads = summary.threads.max(threads);
-            let mut sub = summary.trace;
+            let sub = run_core(&batch, &inner, caches.as_ref(), &|i, report, items| {
+                *fresh[stale[i]].lock().expect("report slot poisoned") = Some((report, items));
+            })?;
+            threads = sub.threads.max(threads);
+            let mut sub = sub.trace;
             sub.shift(trace.end_ns());
             sub.prefix_counters(&format!("epoch{epoch}."));
             trace.merge(sub);
-            for (i, &j) in stale.iter().enumerate() {
-                let report = slots[i]
-                    .lock()
-                    .expect("report slot poisoned")
-                    .take()
-                    .expect("every successful job produces a report");
-                let routed = report
-                    .routed
-                    .clone()
-                    .expect("fleet sub-batches keep routed circuits");
-                let items = consolidate(&routed).map_err(|e| EngineError::Job {
-                    job: jobs[j].name.clone(),
-                    source: e,
-                })?;
-                adopted[j] = Some(Adopted {
-                    survival: jobs[j].timeline.snapshot(epoch).routed_survival(&routed),
-                    routed,
-                    items,
-                    swaps: report.result.swaps,
-                    verification: report.verification.clone(),
-                });
-                fresh_reports[j] = Some(report);
-            }
         }
 
-        // Assemble the epoch: re-transpiled jobs take their fresh engine
-        // reports; kept jobs re-score their cached items under the new
-        // calibration through the exact arithmetic the engine's back half
-        // uses (shared caches included), with their adoption verification
-        // verdict carried forward.
+        // Assemble the epoch: re-transpiled jobs adopt their fresh route
+        // and report; kept jobs re-score their cached items under the new
+        // calibration with the engine back half's own scorer (shared
+        // caches included), carrying their adoption verdict forward.
         let mut epoch_jobs = Vec::with_capacity(jobs.len());
-        for (j, job) in jobs.iter().enumerate() {
+        for ((j, job), slot) in jobs.iter().enumerate().zip(fresh) {
             let (decision, predicted_loss) = decisions[j];
-            let mut report = match fresh_reports[j].take() {
-                Some(report) => report,
+            let cal = job.timeline.snapshot(epoch);
+            let mut report = match slot.into_inner().expect("report slot poisoned") {
+                Some((report, items)) => {
+                    let routed = report
+                        .routed
+                        .clone()
+                        .expect("fleet sub-batches keep routed circuits");
+                    adopted[j] = Some(Adopted {
+                        survival: cal.routed_survival(&routed),
+                        routed,
+                        items,
+                        swaps: report.result.swaps,
+                        verification: report.verification.clone(),
+                    });
+                    report
+                }
                 None => {
                     let cached = adopted[j].as_ref().expect("adopted at epoch 0");
-                    let cal = job.timeline.snapshot(epoch);
-                    let result = match cache_refs {
-                        Some((bcache, ocache)) => evaluate_with_calibration(
-                            &job.name,
-                            &cached.items,
-                            cached.swaps,
-                            &CachedCostModel::new(&baseline, bcache),
-                            &CachedCostModel::new(&optimized, ocache),
-                            job.map.n_qubits(),
-                            job.circuit.n_qubits(),
-                            config.fidelity,
-                            Some(cal),
-                        ),
-                        None => evaluate_with_calibration(
-                            &job.name,
-                            &cached.items,
-                            cached.swaps,
-                            &baseline,
-                            &optimized,
-                            job.map.n_qubits(),
-                            job.circuit.n_qubits(),
-                            config.fidelity,
-                            Some(cal),
-                        ),
-                    };
                     CircuitReport {
-                        result,
-                        topology: job.map.label().to_string(),
-                        calibration: cal.label().to_string(),
                         routed: Some(cached.routed.clone()),
                         verification: cached.verification.clone(),
-                        route_time: Duration::ZERO,
-                        pipeline_time: Duration::ZERO,
+                        ..scorer.score(
+                            &job.name,
+                            &cached.items,
+                            cached.swaps,
+                            &job.map,
+                            job.circuit.n_qubits(),
+                            Some(cal),
+                        )
                     }
                 }
             };
@@ -498,26 +388,21 @@ pub fn run_fleet(
                 report,
             });
         }
-        let epoch_report = FleetEpochReport {
+        for (decision, counter) in [
+            (EpochDecision::Fresh, "fresh"),
+            (EpochDecision::Kept, "kept"),
+            (EpochDecision::Retranspiled, "retranspiled"),
+        ] {
+            let n = decisions.iter().filter(|(d, _)| *d == decision).count();
+            trace.set_counter(format!("fleet.epoch{epoch}.{counter}"), n as u64);
+        }
+        epochs.push(FleetEpochReport {
             epoch,
             jobs: epoch_jobs,
-        };
-        trace.set_counter(
-            format!("fleet.epoch{epoch}.fresh"),
-            epoch_report.count(EpochDecision::Fresh) as u64,
-        );
-        trace.set_counter(
-            format!("fleet.epoch{epoch}.kept"),
-            epoch_report.kept() as u64,
-        );
-        trace.set_counter(
-            format!("fleet.epoch{epoch}.retranspiled"),
-            epoch_report.retranspiled() as u64,
-        );
-        epochs.push(epoch_report);
+        });
     }
 
-    if let Some((bcache, ocache)) = cache_refs {
+    if let Some((bcache, ocache)) = &caches {
         let b = bcache.stats();
         let o = ocache.stats();
         trace.set_counter("fleet.cache.hits", b.hits + o.hits);
@@ -623,11 +508,14 @@ mod tests {
         )
         .unwrap();
         assert_eq!(fleet.epochs.len(), 3);
-        assert_eq!(
-            fleet.total_retranspiles(),
-            0,
-            "nothing drifts, nothing re-transpiles"
-        );
+        // Nothing drifts, so nothing re-transpiles: every route is reused.
+        for epoch in &fleet.epochs[1..] {
+            assert!(epoch.jobs.iter().all(|j| j.decision == EpochDecision::Kept));
+        }
+        assert!(fleet.epochs[0]
+            .jobs
+            .iter()
+            .all(|j| j.decision == EpochDecision::Fresh));
 
         // The static reference: the same jobs through the plain engine.
         let mut batch = Batch::with_shared(Arc::clone(&map));
@@ -652,75 +540,6 @@ mod tests {
                 assert_eq!(fleet_job.report.routed, static_job.routed);
             }
         }
-        assert_eq!(fleet.epochs[0].route_reuse_rate(), 0.0);
-        assert_eq!(fleet.epochs[1].route_reuse_rate(), 1.0);
-    }
-
-    /// The acceptance scenario: on a drifting device with dead-edge
-    /// events, the adaptive policy delivers strictly higher mean fidelity
-    /// than never re-transpiling, at strictly fewer re-transpiles than
-    /// doing it every epoch.
-    #[test]
-    fn adaptive_beats_never_on_fidelity_and_always_on_cost() {
-        let map = Arc::new(CouplingMap::grid(4, 4));
-        let cal = Calibration::uniform(&map, FidelityModel::paper());
-        // Two abrupt dead-edge events over five epochs: at least two quiet
-        // epochs where nothing drifted, so the adaptive policy has keeps
-        // to show against the always policy's blanket re-transpiles.
-        let spec = DriftSpec {
-            epochs: 5,
-            qubit_sigma: 0.0,
-            edge_sigma: 0.0,
-            dead_edges: 2,
-            seed: 11,
-        };
-        let timeline = Arc::new(CalibrationTimeline::generate(&cal, &map, &spec).unwrap());
-        let jobs = fleet_on(
-            &map,
-            &timeline,
-            vec![
-                ("qft16", benchmarks::qft(16)),
-                ("ghz16", benchmarks::ghz(16)),
-                ("vqe16", benchmarks::vqe_linear(16, 2, 5)),
-            ],
-        );
-        let config = EngineConfig::default()
-            .routing_seeds(2)
-            .threads(2)
-            .noise_aware(true);
-        let run = |policy: RetranspilePolicy| run_fleet(&jobs, &config, &policy).unwrap();
-        let never = run(RetranspilePolicy::Never);
-        let always = run(RetranspilePolicy::Always);
-        let adaptive = run(RetranspilePolicy::Adaptive {
-            max_fidelity_loss: 0.05,
-        });
-
-        assert!(
-            adaptive.mean_delivered_fidelity() > never.mean_delivered_fidelity(),
-            "adaptive {} must beat never {}",
-            adaptive.mean_delivered_fidelity(),
-            never.mean_delivered_fidelity()
-        );
-        assert!(
-            adaptive.total_retranspiles() < always.total_retranspiles(),
-            "adaptive {} must cost less than always {}",
-            adaptive.total_retranspiles(),
-            always.total_retranspiles()
-        );
-        assert!(
-            adaptive.total_retranspiles() > 0,
-            "the dead edges must bite"
-        );
-        assert_eq!(never.total_retranspiles(), 0);
-        assert_eq!(always.total_retranspiles(), jobs.len() * (spec.epochs - 1));
-        assert!(adaptive.retranspile_rate() < 1.0);
-        // Quiet epochs (zero-sigma walk, no event onset) must be pure
-        // keeps: the reuse-rate decay is driven by events, not noise.
-        assert!(adaptive
-            .epochs
-            .iter()
-            .skip(1)
-            .any(|e| e.route_reuse_rate() == 1.0));
     }
 
     #[test]
@@ -772,7 +591,6 @@ mod tests {
     fn empty_fleet_is_fine() {
         let fleet = run_fleet(&[], &EngineConfig::default(), &RetranspilePolicy::Never).unwrap();
         assert!(fleet.epochs.is_empty());
-        assert!(fleet.mean_delivered_fidelity().is_nan());
-        assert!(fleet.retranspile_rate().is_nan());
+        assert!(fleet.trace.counters.is_empty());
     }
 }

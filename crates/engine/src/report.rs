@@ -34,37 +34,6 @@ pub struct CircuitReport {
     pub pipeline_time: Duration,
 }
 
-/// The batch-level outcome of a streaming run (see
-/// [`crate::run_batch_streaming`]): everything [`EngineReport`] carries
-/// *except* the per-job reports, which were handed to the sink as they
-/// completed. Holding one of these retains O(1) memory in the batch size
-/// (the trace grows with job count but holds spans, not circuits).
-#[derive(Debug, Clone)]
-pub struct BatchSummary {
-    /// Worker threads the batch actually ran with.
-    pub threads: usize,
-    /// End-to-end batch wall clock.
-    pub wall_clock: Duration,
-    /// Baseline-model cache counters (`None` with the cache disabled).
-    pub baseline_cache: Option<CacheStats>,
-    /// Optimized-model cache counters (`None` with the cache disabled).
-    pub optimized_cache: Option<CacheStats>,
-    /// The batch's execution trace (see [`EngineReport::trace`]); spans
-    /// are keyed by job index, so per-job wall times can be rebuilt by
-    /// summing span durations per key.
-    pub trace: Trace,
-}
-
-impl BatchSummary {
-    /// Combined counters over both per-model caches.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        match (self.baseline_cache, self.optimized_cache) {
-            (Some(b), Some(o)) => Some(b.merged(o)),
-            (one, other) => one.or(other),
-        }
-    }
-}
-
 /// The outcome of a whole batch.
 #[derive(Debug, Clone)]
 pub struct EngineReport {
@@ -122,65 +91,6 @@ impl EngineReport {
             .sum()
     }
 
-    /// Per-topology aggregates over a heterogeneous batch, grouped by
-    /// topology label in first-seen (submission) order.
-    pub fn by_topology(&self) -> Vec<TopologySummary> {
-        let mut groups: Vec<TopologySummary> = Vec::new();
-        for c in &self.circuits {
-            let entry = match groups.iter_mut().find(|g| g.topology == c.topology) {
-                Some(g) => g,
-                None => {
-                    groups.push(TopologySummary {
-                        topology: c.topology.clone(),
-                        circuits: 0,
-                        total_swaps: 0,
-                        mean_reduction_pct: 0.0,
-                    });
-                    groups.last_mut().expect("just pushed")
-                }
-            };
-            entry.circuits += 1;
-            entry.total_swaps += c.result.swaps;
-            entry.mean_reduction_pct += c.result.duration_reduction_pct;
-        }
-        for g in &mut groups {
-            g.mean_reduction_pct /= g.circuits as f64;
-        }
-        groups
-    }
-
-    /// Per-calibration aggregates over a calibrated batch, grouped by
-    /// calibration label in first-seen (submission) order — the rollup
-    /// that makes noise-aware vs noise-blind routing comparable on a
-    /// heterogeneous device scenario.
-    pub fn by_calibration(&self) -> Vec<CalibrationSummary> {
-        let mut groups: Vec<CalibrationSummary> = Vec::new();
-        for c in &self.circuits {
-            let entry = match groups.iter_mut().find(|g| g.calibration == c.calibration) {
-                Some(g) => g,
-                None => {
-                    groups.push(CalibrationSummary {
-                        calibration: c.calibration.clone(),
-                        circuits: 0,
-                        total_swaps: 0,
-                        mean_reduction_pct: 0.0,
-                        mean_optimized_ft: 0.0,
-                    });
-                    groups.last_mut().expect("just pushed")
-                }
-            };
-            entry.circuits += 1;
-            entry.total_swaps += c.result.swaps;
-            entry.mean_reduction_pct += c.result.duration_reduction_pct;
-            entry.mean_optimized_ft += c.result.optimized_total_fidelity;
-        }
-        for g in &mut groups {
-            g.mean_reduction_pct /= g.circuits as f64;
-            g.mean_optimized_ft /= g.circuits as f64;
-        }
-        groups
-    }
-
     /// Rolls the trace up into stage-time statistics (p50/p95 per stage)
     /// and a thread-utilization fraction. Wall-clock data: render it only
     /// under `--timings`-style diagnostic flags, never in the
@@ -203,44 +113,20 @@ impl EngineReport {
     /// Batch-wide verification rollup, or `None` when no job carried a
     /// verdict (verification off).
     pub fn verification_summary(&self) -> Option<VerificationSummary> {
-        let mut summary = VerificationSummary {
-            exact: 0,
-            mps: 0,
-            sampled: 0,
-            skipped: 0,
-            errors: 0,
-            failed: 0,
-            min_fidelity: f64::INFINITY,
-        };
-        let mut any = false;
+        let mut summary = VerificationSummary::new();
         for v in self.circuits.iter().filter_map(|c| c.verification.as_ref()) {
-            any = true;
-            match v {
-                Verification::Exact { .. } => summary.exact += 1,
-                Verification::Mps { .. } => summary.mps += 1,
-                Verification::Sampled { .. } => summary.sampled += 1,
-                Verification::Skipped { .. } => summary.skipped += 1,
-                Verification::Error { .. } => summary.errors += 1,
-            }
-            if v.failed() {
-                summary.failed += 1;
-            }
-            if let Some(f) = v.fidelity() {
-                summary.min_fidelity = summary.min_fidelity.min(f);
-            }
+            summary.add(v);
         }
-        if !any {
-            return None;
-        }
-        if summary.min_fidelity == f64::INFINITY {
-            summary.min_fidelity = f64::NAN;
-        }
-        Some(summary)
+        (!summary.is_empty()).then_some(summary)
     }
 }
 
-/// Batch-wide verification counters (see
-/// [`EngineReport::verification_summary`]).
+/// Verification counters over a set of verdicts — a commutative monoid:
+/// [`VerificationSummary::add`] folds one verdict in,
+/// [`VerificationSummary::merge`] combines two partial summaries, and
+/// [`VerificationSummary::new`] is the identity. Both the engine's
+/// [`EngineReport::verification_summary`] and the sweep's per-run rollup
+/// fold through it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerificationSummary {
     /// Jobs verified by the exact unitary oracle.
@@ -257,11 +143,66 @@ pub struct VerificationSummary {
     pub errors: usize,
     /// Jobs whose oracle rejected the equivalence or errored out.
     pub failed: usize,
-    /// Worst fidelity any oracle measured (`NaN` when every job skipped).
+    /// Worst fidelity any oracle measured (`NaN` when no verdict carried
+    /// one, e.g. every job skipped).
     pub min_fidelity: f64,
 }
 
+impl Default for VerificationSummary {
+    fn default() -> Self {
+        VerificationSummary {
+            exact: 0,
+            mps: 0,
+            sampled: 0,
+            skipped: 0,
+            errors: 0,
+            failed: 0,
+            min_fidelity: f64::NAN,
+        }
+    }
+}
+
 impl VerificationSummary {
+    /// The empty summary (the monoid identity).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Folds one verdict in.
+    pub fn add(&mut self, v: &Verification) {
+        match v {
+            Verification::Exact { .. } => self.exact += 1,
+            Verification::Mps { .. } => self.mps += 1,
+            Verification::Sampled { .. } => self.sampled += 1,
+            Verification::Skipped { .. } => self.skipped += 1,
+            Verification::Error { .. } => self.errors += 1,
+        }
+        if v.failed() {
+            self.failed += 1;
+        }
+        if let Some(f) = v.fidelity() {
+            // `f64::min` ignores a NaN operand, so the empty summary's NaN
+            // is the identity.
+            self.min_fidelity = self.min_fidelity.min(f);
+        }
+    }
+
+    /// Folds another partial summary in. Commutes with [`Self::add`].
+    pub fn merge(&mut self, other: &VerificationSummary) {
+        self.exact += other.exact;
+        self.mps += other.mps;
+        self.sampled += other.sampled;
+        self.skipped += other.skipped;
+        self.errors += other.errors;
+        self.failed += other.failed;
+        self.min_fidelity = self.min_fidelity.min(other.min_fidelity);
+    }
+
+    /// True when no verdict has been folded in.
+    pub fn is_empty(&self) -> bool {
+        self.exact + self.mps + self.sampled + self.skipped + self.errors == 0
+    }
+
     /// True when every verified job passed its oracle.
     pub fn all_passed(&self) -> bool {
         self.failed == 0
@@ -336,39 +277,6 @@ impl fmt::Display for MetricsSummary {
             self.utilization * 100.0,
         )
     }
-}
-
-/// Aggregate outcome for every job sharing one coupling topology.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TopologySummary {
-    /// Topology label (see `CouplingMap::label`).
-    pub topology: String,
-    /// Number of jobs routed on this topology.
-    pub circuits: usize,
-    /// Total SWAPs inserted across those jobs.
-    pub total_swaps: usize,
-    /// Mean duration reduction over those jobs, percent.
-    pub mean_reduction_pct: f64,
-}
-
-/// Aggregate outcome for every job sharing one device calibration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CalibrationSummary {
-    /// Calibration label (see `Calibration::label`).
-    pub calibration: String,
-    /// Number of jobs scored under this calibration.
-    pub circuits: usize,
-    /// Total SWAPs inserted across those jobs.
-    pub total_swaps: usize,
-    /// Mean duration reduction over those jobs, percent.
-    pub mean_reduction_pct: f64,
-    /// Mean optimized total fidelity `F_T` over those jobs — the headline
-    /// number noise-aware routing is judged on. The per-wire decay term
-    /// uses the circuit's initial-layout wires (Eq. 11's convention, kept
-    /// for bit-compatibility with the homogeneous model); routing quality
-    /// enters through the duration and the per-edge gate-error survival
-    /// product.
-    pub mean_optimized_ft: f64,
 }
 
 impl fmt::Display for EngineReport {
@@ -500,55 +408,6 @@ mod tests {
         let s = r.cache_stats().unwrap();
         assert_eq!((s.hits, s.misses, s.entries), (50, 30, 30));
         assert!((r.cache_hit_rate().unwrap() - 0.625).abs() < 1e-12);
-    }
-
-    #[test]
-    fn by_topology_groups_in_submission_order() {
-        let mut r = report();
-        r.circuits.push(CircuitReport {
-            result: result("c", 30.0),
-            topology: "grid4x4".to_string(),
-            calibration: "uniform".to_string(),
-            routed: None,
-            verification: None,
-            route_time: Duration::from_millis(1),
-            pipeline_time: Duration::from_millis(1),
-        });
-        let groups = r.by_topology();
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0].topology, "grid4x4");
-        assert_eq!(groups[0].circuits, 2);
-        assert_eq!(groups[0].total_swaps, 4);
-        assert!((groups[0].mean_reduction_pct - 20.0).abs() < 1e-12);
-        assert_eq!(groups[1].topology, "ring16");
-        assert_eq!(groups[1].circuits, 1);
-        assert!((groups[1].mean_reduction_pct - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn by_calibration_groups_and_averages_ft() {
-        let mut r = report();
-        r.circuits.push(CircuitReport {
-            result: BenchmarkResult {
-                optimized_total_fidelity: 0.5,
-                ..result("c", 30.0)
-            },
-            topology: "grid4x4".to_string(),
-            calibration: "hotspot2".to_string(),
-            routed: None,
-            verification: None,
-            route_time: Duration::from_millis(1),
-            pipeline_time: Duration::from_millis(1),
-        });
-        let groups = r.by_calibration();
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0].calibration, "uniform");
-        assert_eq!(groups[0].circuits, 1);
-        assert!((groups[0].mean_optimized_ft - 0.9).abs() < 1e-12);
-        assert_eq!(groups[1].calibration, "hotspot2");
-        assert_eq!(groups[1].circuits, 2);
-        assert!((groups[1].mean_optimized_ft - 0.7).abs() < 1e-12);
-        assert!((groups[1].mean_reduction_pct - 25.0).abs() < 1e-12);
     }
 
     #[test]

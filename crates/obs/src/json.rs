@@ -1,14 +1,39 @@
-//! A minimal JSON parser for validating exported traces.
+//! The workspace's one JSON reader and string escaper.
 //!
 //! The workspace's vendored `serde` shim is intentionally a no-op (marker
 //! traits only, no parsing), so round-trip checks — "does the Chrome
-//! export parse back?" — need a real reader. This is a small
+//! export parse back?" — need a real reader. [`parse`] is a small
 //! recursive-descent parser over the JSON grammar: enough to load a trace
-//! file, walk its events, and assert shape. It is used by the
-//! `trace_check` binary (CI's trace-well-formedness gate) and the
-//! exporter tests; it is not a general-purpose serde replacement.
+//! file, a `BENCH_*.json` baseline or a journal line, walk it, and assert
+//! shape. [`escape`] is the matching writer half every hand-formatted
+//! JSON output (trace exports, sweep journals, bench reports) quotes its
+//! strings with. It is not a general-purpose serde replacement.
 
 use std::fmt;
+use std::fmt::Write as _;
+
+/// Quotes `s` as a JSON string literal: quotes, backslashes and control
+/// characters escaped (`\n`, `\r`, `\t`, else `\u00XX`), everything
+/// else verbatim. [`parse`] reads it back to `s`.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

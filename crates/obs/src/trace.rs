@@ -1,6 +1,7 @@
 //! The drained snapshot of a [`Recorder`](crate::Recorder): spans plus
 //! counters, with the two exporters and the stage-time rollup.
 
+use crate::json::escape;
 use crate::SpanEvent;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -140,7 +141,7 @@ impl Trace {
         for s in &self.spans {
             let _ = writeln!(
                 out,
-                "{{\"type\":\"span\",\"name\":\"{}\",\"label\":\"{}\",\"key\":{},\"tid\":{},\
+                "{{\"type\":\"span\",\"name\":{},\"label\":{},\"key\":{},\"tid\":{},\
                  \"start_ns\":{},\"dur_ns\":{}}}",
                 escape(s.name),
                 escape(&s.label),
@@ -153,7 +154,7 @@ impl Trace {
         for (name, value) in &self.counters {
             let _ = writeln!(
                 out,
-                "{{\"type\":\"counter\",\"name\":\"{}\",\"value\":{}}}",
+                "{{\"type\":\"counter\",\"name\":{},\"value\":{}}}",
                 escape(name),
                 value
             );
@@ -197,7 +198,7 @@ impl Trace {
                     let _ = write!(
                         out,
                         ",\n{{\"ph\":\"B\",\"pid\":1,\"tid\":{tid},\"ts\":{us:.3},\
-                         \"name\":\"{}\",\"args\":{{\"label\":\"{}\",\"key\":{}}}}}",
+                         \"name\":{},\"args\":{{\"label\":{},\"key\":{}}}}}",
                         escape(s.name),
                         escape(&s.label),
                         s.key
@@ -215,7 +216,7 @@ impl Trace {
         for (name, value) in &self.counters {
             let _ = write!(
                 out,
-                ",\n{{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":{counter_ts:.3},\"name\":\"{}\",\
+                ",\n{{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":{counter_ts:.3},\"name\":{},\
                  \"args\":{{\"value\":{value}}}}}",
                 escape(name)
             );
@@ -315,25 +316,6 @@ fn intern(name: &str) -> &'static str {
             leaked
         }
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@
 use super::cell::SweepCell;
 use super::spec::SweepError;
 use paradrive_engine::Verification;
-use paradrive_obs::json::{self, Value};
+use paradrive_obs::json::{self, escape, Value};
 use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
@@ -43,28 +43,6 @@ pub struct Meta {
     pub shards: usize,
     /// This file's shard index in `0..shards`.
     pub shard: usize,
-}
-
-/// Escapes a string as a JSON string literal (same dialect as the obs
-/// trace writer: control characters as `\u00XX`).
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Formats an `f64` as a JSON value that parses back bit-identically:

@@ -21,7 +21,8 @@ use super::checkpoint::{Journal, JournalContents, Meta};
 use super::rollup::{RunRollup, SweepRun};
 use super::spec::{SweepError, SweepSpec};
 use paradrive_engine::{
-    run_batch_streaming, run_fleet, Batch, CircuitReport, EngineConfig, FleetJob, Trace,
+    run_batch_streaming, run_fleet, Batch, CircuitReport, Costing, EngineConfig, FleetJob,
+    VerifyLevel,
 };
 use std::collections::HashMap;
 use std::path::Path;
@@ -77,7 +78,8 @@ pub fn run_sweep(spec: &SweepSpec) -> Result<SweepOutcome, SweepError> {
 /// The sink cannot return errors, so journal failures park here and
 /// surface once the batch drains.
 struct SinkState<'a> {
-    cells: Vec<SweepCell>,
+    /// Completed cells with their job index, in completion order.
+    cells: Vec<(usize, SweepCell)>,
     rollup: RunRollup,
     journal: Option<&'a mut Journal>,
     journal_err: Option<SweepError>,
@@ -184,18 +186,7 @@ pub fn run_sweep_shard(
 
         if pending.is_empty() {
             // Fully restored (or an empty shard slice): no engine run.
-            runs.push(SweepRun {
-                costing: costing_label(costing),
-                verify: verify.label(),
-                threads: 0,
-                wall_clock: Duration::ZERO,
-                cache: None,
-                by_topology: rollup.by_topology(),
-                by_calibration: rollup.by_calibration(),
-                verification: rollup.verification(),
-                fleet: rollup.fleet(),
-                trace: Trace::default(),
-            });
+            runs.push(SweepRun::new(costing, verify, &rollup));
             continue;
         }
 
@@ -244,35 +235,13 @@ pub fn run_sweep_shard(
                     .position(|r| key_of(r) == key_of(planned))
                     .expect("every pending cell keys a fleet job");
                 let outcome = &fleet.epochs[planned.epoch].jobs[job];
-                let r = &outcome.report.result;
-                let cell = SweepCell {
-                    ordinal: planned.id.ordinal,
-                    digest: planned.id.digest,
-                    topology: outcome.report.topology.clone(),
-                    calibration: outcome.report.calibration.clone(),
-                    // The fleet job name carries an `@seed` suffix for
-                    // trace readability; the cell keeps the bare
-                    // benchmark name so rows match the static sweep.
-                    benchmark: plan.benchmark(planned).0.clone(),
-                    costing: costing_label(costing),
-                    verify: verify.label(),
-                    verification: outcome.report.verification.clone(),
-                    suite_seed: plan.suite_seed(planned),
-                    epoch: planned.epoch,
-                    decision: outcome.decision.label(),
-                    swaps: r.swaps,
-                    depth: outcome.report.routed.as_ref().map_or(0, |c| c.depth()),
-                    blocks: r.blocks,
-                    baseline_duration: r.baseline_duration,
-                    optimized_duration: r.optimized_duration,
-                    reduction_pct: r.duration_reduction_pct,
-                    ft_improvement_pct: r.ft_improvement_pct,
-                    optimized_ft: r.optimized_total_fidelity,
-                    // Fleet spans are keyed per epoch sub-batch, not per
-                    // grid cell; per-cell wall time is deliberately zero
-                    // so the deterministic report stays replay-stable.
-                    wall: Duration::ZERO,
-                };
+                let cell = sweep_cell(
+                    &plan,
+                    planned,
+                    (costing, verify),
+                    &outcome.report,
+                    outcome.decision.label(),
+                );
                 rollup.absorb(&cell);
                 if let Some(journal) = journal.as_mut() {
                     journal.append(&cell)?;
@@ -280,16 +249,10 @@ pub fn run_sweep_shard(
                 all_cells.push(cell);
             }
             runs.push(SweepRun {
-                costing: costing_label(costing),
-                verify: verify.label(),
                 threads: fleet.threads,
                 wall_clock: fleet.wall_clock,
-                cache: None,
-                by_topology: rollup.by_topology(),
-                by_calibration: rollup.by_calibration(),
-                verification: rollup.verification(),
-                fleet: rollup.fleet(),
                 trace: fleet.trace,
+                ..SweepRun::new(costing, verify, &rollup)
             });
             continue;
         }
@@ -314,35 +277,7 @@ pub fn run_sweep_shard(
             journal_err: None,
         });
         let sink = |job: usize, report: CircuitReport| {
-            let planned = pending[job];
-            let r = &report.result;
-            let cell = SweepCell {
-                ordinal: planned.id.ordinal,
-                digest: planned.id.digest,
-                topology: report.topology,
-                calibration: report.calibration,
-                benchmark: r.name.clone(),
-                costing: costing_label(costing),
-                verify: verify.label(),
-                verification: report.verification,
-                suite_seed: plan.suite_seed(planned),
-                epoch: planned.epoch,
-                decision: "-",
-                swaps: r.swaps,
-                // Depth is the one thing the routed circuit is kept for;
-                // read it and let the circuit drop right here, so peak
-                // retention stays proportional to in-flight jobs.
-                depth: report.routed.as_ref().map_or(0, |c| c.depth()),
-                blocks: r.blocks,
-                baseline_duration: r.baseline_duration,
-                optimized_duration: r.optimized_duration,
-                reduction_pct: r.duration_reduction_pct,
-                ft_improvement_pct: r.ft_improvement_pct,
-                optimized_ft: r.optimized_total_fidelity,
-                // Patched from the trace after the batch drains; the
-                // streaming engine does not time individual jobs inline.
-                wall: Duration::ZERO,
-            };
+            let cell = sweep_cell(&plan, pending[job], (costing, verify), &report, "-");
             let mut state = state.lock().unwrap();
             state.rollup.absorb(&cell);
             if state.journal_err.is_none() {
@@ -352,9 +287,9 @@ pub fn run_sweep_shard(
                     }
                 }
             }
-            state.cells.push(cell);
+            state.cells.push((job, cell));
         };
-        let summary = run_batch_streaming(&batch, &config, &sink)?;
+        let report = run_batch_streaming(&batch, &config, &sink)?;
         let SinkState {
             mut cells,
             rollup,
@@ -367,26 +302,22 @@ pub fn run_sweep_shard(
 
         // Rebuild per-cell wall time (route + pipeline) from the trace,
         // which keys every span by job index.
-        let mut wall_ns: HashMap<usize, u64> = HashMap::new();
-        for s in &summary.trace.spans {
-            *wall_ns.entry(s.key as usize).or_default() += s.dur_ns;
-        }
-        let ordinal_to_job: HashMap<u64, usize> = pending
-            .iter()
-            .enumerate()
-            .map(|(job, c)| (c.id.ordinal, job))
-            .collect();
-        for cell in &mut cells {
-            if let Some(job) = ordinal_to_job.get(&cell.ordinal) {
-                cell.wall = Duration::from_nanos(*wall_ns.get(job).unwrap_or(&0));
+        let mut wall_ns = vec![0u64; pending.len()];
+        for s in &report.trace.spans {
+            if let Some(ns) = wall_ns.get_mut(s.key as usize) {
+                *ns += s.dur_ns;
             }
+        }
+        for (job, cell) in &mut cells {
+            cell.wall = Duration::from_nanos(wall_ns[*job]);
         }
 
         // Relabel engine spans (keyed by job index) with the cell's
         // deterministic label, so a trace opened in Perfetto names cells
         // the same way the timing report does. Route spans keep their
         // per-seed `#N` suffix.
-        let mut trace = summary.trace.clone();
+        let cache = report.cache_stats();
+        let mut trace = report.trace;
         for s in &mut trace.spans {
             if let Some(planned) = pending.get(s.key as usize) {
                 let (name, _) = plan.benchmark(planned);
@@ -404,18 +335,13 @@ pub fn run_sweep_shard(
             }
         }
 
-        all_cells.extend(cells);
+        all_cells.extend(cells.into_iter().map(|(_, cell)| cell));
         runs.push(SweepRun {
-            costing: costing_label(costing),
-            verify: verify.label(),
-            threads: summary.threads,
-            wall_clock: summary.wall_clock,
-            cache: summary.cache_stats(),
-            by_topology: rollup.by_topology(),
-            by_calibration: rollup.by_calibration(),
-            verification: rollup.verification(),
-            fleet: rollup.fleet(),
+            threads: report.threads,
+            wall_clock: report.wall_clock,
+            cache,
             trace,
+            ..SweepRun::new(costing, verify, &rollup)
         });
     }
 
@@ -430,6 +356,48 @@ pub fn run_sweep_shard(
         cells: all_cells,
         runs,
     })
+}
+
+/// One grid cell's row from the engine report that produced it. Static
+/// cells carry decision `"-"`; fleet cells carry their epoch decision.
+fn sweep_cell(
+    plan: &SweepPlan,
+    planned: &PlannedCell,
+    (costing, verify): (Costing, VerifyLevel),
+    report: &CircuitReport,
+    decision: &'static str,
+) -> SweepCell {
+    let r = &report.result;
+    SweepCell {
+        ordinal: planned.id.ordinal,
+        digest: planned.id.digest,
+        topology: report.topology.clone(),
+        calibration: report.calibration.clone(),
+        // Fleet job names carry an `@seed` suffix for trace readability;
+        // the cell keeps the bare benchmark name so rows match the static
+        // sweep.
+        benchmark: plan.benchmark(planned).0.clone(),
+        costing: costing_label(costing),
+        verify: verify.label(),
+        verification: report.verification.clone(),
+        suite_seed: plan.suite_seed(planned),
+        epoch: planned.epoch,
+        decision,
+        swaps: r.swaps,
+        // Depth is the one thing the routed circuit is kept for.
+        depth: report.routed.as_ref().map_or(0, |c| c.depth()),
+        blocks: r.blocks,
+        baseline_duration: r.baseline_duration,
+        optimized_duration: r.optimized_duration,
+        reduction_pct: r.duration_reduction_pct,
+        ft_improvement_pct: r.ft_improvement_pct,
+        optimized_ft: r.optimized_total_fidelity,
+        // Static cells patch this from the trace after the batch drains
+        // (the streaming engine does not time jobs inline); fleet spans
+        // are keyed per epoch sub-batch, not per grid cell, so fleet cells
+        // keep zero and the deterministic report stays replay-stable.
+        wall: Duration::ZERO,
+    }
 }
 
 /// Recombines shard reports (or completed journals) into the outcome a
@@ -557,18 +525,7 @@ pub fn merge_reports(
         .runs()
         .iter()
         .zip(rollups)
-        .map(|(&(costing, verify), rollup)| SweepRun {
-            costing: costing_label(costing),
-            verify: verify.label(),
-            threads: 0,
-            wall_clock: Duration::ZERO,
-            cache: None,
-            by_topology: rollup.by_topology(),
-            by_calibration: rollup.by_calibration(),
-            verification: rollup.verification(),
-            fleet: rollup.fleet(),
-            trace: Trace::default(),
-        })
+        .map(|(&(costing, verify), rollup)| SweepRun::new(costing, verify, &rollup))
         .collect();
     Ok(SweepOutcome {
         fingerprint: plan.fingerprint(),

@@ -67,7 +67,10 @@ pub use cell::{costing_label, CellId, PlannedCell, SweepCell, SweepPlan};
 pub use checkpoint::{parse_journal, read_journal, Journal, JournalContents, Meta};
 pub use exec::{merge_reports, run_sweep, run_sweep_shard, ShardOptions, SweepOutcome};
 pub use render::splice_shard_traces;
-pub use rollup::{ExactSum, FleetEpochSummary, FleetSummary, RunRollup, SweepRun};
+pub use rollup::{
+    CalibrationSummary, ExactSum, FleetEpochSummary, FleetSummary, RunRollup, SweepRun,
+    TopologySummary,
+};
 pub use spec::{
     parse_calibration, parse_drift, parse_topology, CalibrationParseError, DriftParseError,
     DriftScenario, SweepError, SweepSpec, TopologyParseError,

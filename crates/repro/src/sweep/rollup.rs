@@ -12,10 +12,8 @@
 //! commutative, and the final [`ExactSum::to_f64`] performs the one and
 //! only rounding (round-half-even, like IEEE itself).
 
-use super::cell::SweepCell;
-use paradrive_engine::{
-    CacheStats, CalibrationSummary, TopologySummary, Trace, Verification, VerificationSummary,
-};
+use super::cell::{costing_label, SweepCell};
+use paradrive_engine::{CacheStats, Costing, Trace, VerificationSummary, VerifyLevel};
 use std::time::Duration;
 
 /// Limb count: 2176 bits covers bit −1074 (the smallest subnormal) up to
@@ -313,33 +311,37 @@ pub struct FleetSummary {
     pub retranspile_rate: f64,
 }
 
-/// Verification rollup monoid: verdict counts plus the fidelity minimum
-/// (both order-independent).
-#[derive(Debug, Clone)]
-struct VerifyAcc {
-    any: bool,
-    exact: usize,
-    mps: usize,
-    sampled: usize,
-    skipped: usize,
-    errors: usize,
-    failed: usize,
-    min_fidelity: f64,
+/// Aggregate outcome for every cell sharing one coupling topology.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TopologySummary {
+    /// Topology label (see `CouplingMap::label`).
+    pub topology: String,
+    /// Number of cells routed on this topology.
+    pub circuits: usize,
+    /// Total SWAPs inserted across those cells.
+    pub total_swaps: usize,
+    /// Mean duration reduction over those cells, percent.
+    pub mean_reduction_pct: f64,
 }
 
-impl Default for VerifyAcc {
-    fn default() -> Self {
-        VerifyAcc {
-            any: false,
-            exact: 0,
-            mps: 0,
-            sampled: 0,
-            skipped: 0,
-            errors: 0,
-            failed: 0,
-            min_fidelity: f64::INFINITY,
-        }
-    }
+/// Aggregate outcome for every cell sharing one device calibration.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CalibrationSummary {
+    /// Calibration label (see `Calibration::label`).
+    pub calibration: String,
+    /// Number of cells scored under this calibration.
+    pub circuits: usize,
+    /// Total SWAPs inserted across those cells.
+    pub total_swaps: usize,
+    /// Mean duration reduction over those cells, percent.
+    pub mean_reduction_pct: f64,
+    /// Mean optimized total fidelity `F_T` over those cells — the
+    /// headline number noise-aware routing is judged on. The per-wire
+    /// decay term uses the circuit's initial-layout wires (Eq. 11's
+    /// convention, kept for bit-compatibility with the homogeneous
+    /// model); routing quality enters through the duration and the
+    /// per-edge gate-error survival product.
+    pub mean_optimized_ft: f64,
 }
 
 /// The streaming rollup state for one (costing, verification) engine run
@@ -352,7 +354,7 @@ impl Default for VerifyAcc {
 pub struct RunRollup {
     by_topology: Vec<GroupAcc>,
     by_calibration: Vec<GroupAcc>,
-    verification: VerifyAcc,
+    verification: VerificationSummary,
     fleet: Vec<EpochAcc>,
 }
 
@@ -367,21 +369,7 @@ impl RunRollup {
         absorb_into(&mut self.by_topology, &cell.topology, cell);
         absorb_into(&mut self.by_calibration, &cell.calibration, cell);
         if let Some(v) = &cell.verification {
-            let acc = &mut self.verification;
-            acc.any = true;
-            match v {
-                Verification::Exact { .. } => acc.exact += 1,
-                Verification::Mps { .. } => acc.mps += 1,
-                Verification::Sampled { .. } => acc.sampled += 1,
-                Verification::Skipped { .. } => acc.skipped += 1,
-                Verification::Error { .. } => acc.errors += 1,
-            }
-            if v.failed() {
-                acc.failed += 1;
-            }
-            if let Some(f) = v.fidelity() {
-                acc.min_fidelity = acc.min_fidelity.min(f);
-            }
+            self.verification.add(v);
         }
         if cell.decision != "-" {
             let acc = match self.fleet.iter_mut().find(|e| e.epoch == cell.epoch) {
@@ -406,15 +394,7 @@ impl RunRollup {
     pub fn merge(&mut self, other: &RunRollup) {
         merge_groups(&mut self.by_topology, &other.by_topology);
         merge_groups(&mut self.by_calibration, &other.by_calibration);
-        let (a, b) = (&mut self.verification, &other.verification);
-        a.any |= b.any;
-        a.exact += b.exact;
-        a.mps += b.mps;
-        a.sampled += b.sampled;
-        a.skipped += b.skipped;
-        a.errors += b.errors;
-        a.failed += b.failed;
-        a.min_fidelity = a.min_fidelity.min(b.min_fidelity);
+        self.verification.merge(&other.verification);
         for e in &other.fleet {
             match self.fleet.iter_mut().find(|m| m.epoch == e.epoch) {
                 Some(m) => {
@@ -505,23 +485,7 @@ impl RunRollup {
     /// The run-wide verification rollup, or `None` when no absorbed cell
     /// carried a verdict (verification off).
     pub fn verification(&self) -> Option<VerificationSummary> {
-        if !self.verification.any {
-            return None;
-        }
-        let acc = &self.verification;
-        Some(VerificationSummary {
-            exact: acc.exact,
-            mps: acc.mps,
-            sampled: acc.sampled,
-            skipped: acc.skipped,
-            errors: acc.errors,
-            failed: acc.failed,
-            min_fidelity: if acc.min_fidelity == f64::INFINITY {
-                f64::NAN
-            } else {
-                acc.min_fidelity
-            },
-        })
+        (!self.verification.is_empty()).then(|| self.verification.clone())
     }
 }
 
@@ -558,9 +522,30 @@ pub struct SweepRun {
     pub trace: Trace,
 }
 
+impl SweepRun {
+    /// A run's deterministic summaries, finalized from its rollup, with
+    /// no timing state: zero threads and wall clock, no cache counters,
+    /// an empty trace. Runs that did engine work fill those in.
+    pub fn new(costing: Costing, verify: VerifyLevel, rollup: &RunRollup) -> Self {
+        SweepRun {
+            costing: costing_label(costing),
+            verify: verify.label(),
+            threads: 0,
+            wall_clock: Duration::ZERO,
+            cache: None,
+            by_topology: rollup.by_topology(),
+            by_calibration: rollup.by_calibration(),
+            verification: rollup.verification(),
+            fleet: rollup.fleet(),
+            trace: Trace::default(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paradrive_engine::Verification;
 
     fn sum_of(values: &[f64]) -> ExactSum {
         let mut s = ExactSum::new();
@@ -883,5 +868,34 @@ mod tests {
         let v = only_skip.verification().unwrap();
         assert_eq!(v.skipped, 1);
         assert!(v.min_fidelity.is_nan());
+
+        // All-skipped merged with verified, in both orders: the NaN of the
+        // skipped side never wins the minimum.
+        let mut verified = RunRollup::new();
+        verified.absorb(&b);
+        for (x, y) in [(&only_skip, &verified), (&verified, &only_skip)] {
+            let mut merged = x.clone();
+            merged.merge(y);
+            let v = merged.verification().unwrap();
+            assert_eq!((v.sampled, v.skipped, v.failed), (1, 1, 1));
+            assert_eq!(v.min_fidelity, 0.5);
+        }
+
+        // The empty summary is the identity, on either side of a merge.
+        let empty = VerificationSummary::new();
+        assert!(empty.is_empty() && empty.min_fidelity.is_nan());
+        let full = left.verification().unwrap();
+        for (x, y) in [(&empty, &full), (&full, &empty)] {
+            let mut merged = x.clone();
+            merged.merge(y);
+            assert_eq!(merged, full);
+        }
+        let mut skip_only = VerificationSummary::new();
+        skip_only.merge(&only_skip.verification().unwrap());
+        assert_eq!(skip_only.skipped, 1);
+        assert!(skip_only.min_fidelity.is_nan());
+        let mut none = RunRollup::new();
+        none.merge(&RunRollup::new());
+        assert!(none.verification().is_none());
     }
 }
