@@ -22,7 +22,7 @@ use crate::report::{CircuitReport, EngineReport};
 use crate::EngineError;
 use paradrive_core::flow::evaluate_with_calibration;
 use paradrive_core::rules::{BaselineSqrtIswap, ParallelDriveRules, SynthesizedParallelDrive};
-use paradrive_obs::{Counter, Recorder, Trace};
+use paradrive_obs::{fnv1a, Counter, Recorder};
 use paradrive_transpiler::calibration::Calibration;
 use paradrive_transpiler::consolidate::{consolidate, Item};
 use paradrive_transpiler::fidelity::FidelityModel;
@@ -213,8 +213,12 @@ pub(crate) fn run_core(
 
     let mut trace = shared.rec.take();
     if let Some((bcache, ocache)) = caches {
-        fold_shard_counters(&mut trace, "cache.baseline", bcache);
-        fold_shard_counters(&mut trace, "cache.optimized", ocache);
+        for (prefix, cache) in [("cache.baseline", bcache), ("cache.optimized", ocache)] {
+            let stats = cache.stats();
+            trace.set_counter(format!("{prefix}.hits"), stats.hits);
+            trace.set_counter(format!("{prefix}.misses"), stats.misses);
+            trace.set_counter(format!("{prefix}.wait_ns"), cache.wait_ns());
+        }
     }
 
     Ok(EngineReport {
@@ -225,30 +229,6 @@ pub(crate) fn run_core(
         optimized_cache: caches.map(|(_, o)| o.stats()),
         trace,
     })
-}
-
-/// Copies a cache's per-shard counters into the trace under
-/// `<prefix>.shardNN.*` names. Shard attribution is hash-seeded (see
-/// [`DecompositionCache::shard_stats`]), so these live only in the trace
-/// channel.
-fn fold_shard_counters(trace: &mut Trace, prefix: &str, cache: &DecompositionCache) {
-    for (i, s) in cache.shard_stats().into_iter().enumerate() {
-        trace.set_counter(format!("{prefix}.shard{i:02}.hits"), s.hits);
-        trace.set_counter(format!("{prefix}.shard{i:02}.misses"), s.misses);
-        trace.set_counter(format!("{prefix}.shard{i:02}.inserts"), s.inserts);
-        trace.set_counter(format!("{prefix}.shard{i:02}.wait_ns"), s.wait_ns);
-    }
-}
-
-/// FNV-1a over bytes — a stable, dependency-free hash for deriving each
-/// job's verification seed from its name.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Scores consolidated items into a [`CircuitReport`]: both cost models,
@@ -280,8 +260,9 @@ impl<'a> Scorer<'a> {
     }
 
     /// The report for `items` routed on `map` with `swaps` SWAPs, scored
-    /// under `cal` (`None`: the homogeneous model). The routed circuit,
-    /// verdict and wall times are left for the caller to fill in.
+    /// under `cal` (`None`: the homogeneous model). The routed circuit and
+    /// its depth, the verdict and the wall times are left for the caller
+    /// to fill in.
     pub(crate) fn score(
         &self,
         name: &str,
@@ -316,6 +297,7 @@ impl<'a> Scorer<'a> {
             ),
             topology: map.label().to_string(),
             calibration: cal.map_or_else(|| "uniform".to_string(), |c| c.label().to_string()),
+            depth: 0,
             routed: None,
             verification: None,
             route_time: Duration::ZERO,
@@ -473,6 +455,7 @@ impl Shared<'_, '_> {
         }
         let _span = stage("schedule");
         let report = CircuitReport {
+            depth: best.circuit.depth(),
             routed: self.config.keep_routed.then_some(best.circuit),
             verification,
             ..self.scorer.score(

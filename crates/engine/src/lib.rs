@@ -24,9 +24,10 @@
 //!   shared across epochs;
 //! - [`DecompositionCache`] memoizes any
 //!   [`CostModel`](paradrive_transpiler::CostModel) across the whole
-//!   batch, keyed by the quantized
+//!   batch in one `RwLock`-guarded table, keyed by the quantized
 //!   [`WeylKey`](paradrive_weyl::WeylKey) with exact-bit verification,
-//!   and reports hit/miss counters;
+//!   and reports hit/miss counters (the batch trace adds each model's
+//!   `OnceLock` wait time);
 //! - [`EngineReport`] carries per-circuit results, timings, cache
 //!   statistics, the batch trace and the batch wall clock. Grouped
 //!   rollups (per topology, calibration or drift epoch) are not the
@@ -72,7 +73,7 @@ pub mod policy;
 mod report;
 
 pub use batch::{Batch, Costing, EngineConfig, Job};
-pub use cache::{CacheStats, CachedCostModel, DecompositionCache, ShardStats};
+pub use cache::{CacheStats, CachedCostModel, DecompositionCache};
 pub use engine::{run_batch, run_batch_streaming, JobSink};
 pub use paradrive_obs::{StageStats, Trace};
 pub use paradrive_verify::{Verification, VerifyLevel};

@@ -213,6 +213,7 @@ pub struct FleetReport {
 /// epoch.
 struct Adopted {
     routed: Circuit,
+    depth: usize,
     items: Vec<Item>,
     swaps: usize,
     /// The route's gate-error survival product under the calibration it
@@ -272,8 +273,8 @@ pub fn run_fleet(
     // epochs revisit the Weyl classes epoch 0 already decomposed.
     let caches = fresh_caches(config);
     // Sub-batches must keep routed circuits — the cached route *is* the
-    // fleet's working state; the caller's `keep_routed` governs only what
-    // the emitted reports retain.
+    // fleet's working state; the caller's `keep_routed` governs only
+    // whether the emitted reports carry a copy.
     let inner = config.keep_routed(true);
     let scorer = Scorer::new(config, caches.as_ref());
 
@@ -348,15 +349,17 @@ pub fn run_fleet(
         for ((j, job), slot) in jobs.iter().enumerate().zip(fresh) {
             let (decision, predicted_loss) = decisions[j];
             let cal = job.timeline.snapshot(epoch);
-            let mut report = match slot.into_inner().expect("report slot poisoned") {
-                Some((report, items)) => {
+            let report = match slot.into_inner().expect("report slot poisoned") {
+                Some((mut report, items)) => {
                     let routed = report
                         .routed
-                        .clone()
+                        .take()
                         .expect("fleet sub-batches keep routed circuits");
+                    report.routed = config.keep_routed.then(|| routed.clone());
                     adopted[j] = Some(Adopted {
                         survival: cal.routed_survival(&routed),
                         routed,
+                        depth: report.depth,
                         items,
                         swaps: report.result.swaps,
                         verification: report.verification.clone(),
@@ -366,7 +369,8 @@ pub fn run_fleet(
                 None => {
                     let cached = adopted[j].as_ref().expect("adopted at epoch 0");
                     CircuitReport {
-                        routed: Some(cached.routed.clone()),
+                        depth: cached.depth,
+                        routed: config.keep_routed.then(|| cached.routed.clone()),
                         verification: cached.verification.clone(),
                         ..scorer.score(
                             &job.name,
@@ -379,9 +383,6 @@ pub fn run_fleet(
                     }
                 }
             };
-            if !config.keep_routed {
-                report.routed = None;
-            }
             epoch_jobs.push(FleetJobReport {
                 decision,
                 predicted_loss,
@@ -460,6 +461,7 @@ mod tests {
                     r.optimized_duration.to_bits(),
                     s.optimized_duration.to_bits()
                 );
+                assert_eq!(p.report.depth, q.report.depth);
                 assert_eq!(p.report.routed, q.report.routed);
                 assert_eq!(p.report.verification, q.report.verification);
             }
@@ -570,6 +572,33 @@ mod tests {
         // Cache off agrees too: the cache only changes wall clock.
         let raw = run_fleet(&jobs, &base.threads(2).cache(false), &policy).unwrap();
         reports_identical(&one, &raw);
+    }
+
+    #[test]
+    fn dropped_routes_keep_their_depth_at_every_epoch() {
+        let map = Arc::new(CouplingMap::grid(3, 3));
+        let cal = Calibration::spread(&map, FidelityModel::paper(), 0.2, 5).unwrap();
+        let spec = DriftSpec::walk(3, 0.2, 1, 13);
+        let timeline = Arc::new(CalibrationTimeline::generate(&cal, &map, &spec).unwrap());
+        let jobs = fleet_on(
+            &map,
+            &timeline,
+            vec![("ghz8", benchmarks::ghz(8)), ("qft5", benchmarks::qft(5))],
+        );
+        let base = EngineConfig::default().routing_seeds(2).threads(2);
+        // `Never` re-scores kept routes; `Always` adopts fresh ones.
+        for policy in [RetranspilePolicy::Never, RetranspilePolicy::Always] {
+            let kept = run_fleet(&jobs, &base.keep_routed(true), &policy).unwrap();
+            let dropped = run_fleet(&jobs, &base.keep_routed(false), &policy).unwrap();
+            for (k, d) in kept.epochs.iter().zip(&dropped.epochs) {
+                for (k, d) in k.jobs.iter().zip(&d.jobs) {
+                    let routed = k.report.routed.as_ref().expect("keep_routed(true)");
+                    assert_eq!(d.report.routed, None, "{}", policy.label());
+                    assert_eq!(d.report.depth, routed.depth(), "{}", policy.label());
+                    assert_eq!(k.report.depth, routed.depth(), "{}", policy.label());
+                }
+            }
+        }
     }
 
     #[test]

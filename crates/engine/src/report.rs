@@ -20,6 +20,9 @@ pub struct CircuitReport {
     /// (`"uniform"` for jobs without one — they run the homogeneous
     /// model).
     pub calibration: String,
+    /// Depth of the best routed physical circuit, recorded whether or not
+    /// the circuit itself is kept.
+    pub depth: usize,
     /// The best routed physical circuit (only when
     /// [`crate::EngineConfig::keep_routed`] is set).
     pub routed: Option<Circuit>,
@@ -48,8 +51,8 @@ pub struct EngineReport {
     /// Optimized-model cache counters (`None` with the cache disabled).
     pub optimized_cache: Option<CacheStats>,
     /// The batch's execution trace: per-stage spans and counters,
-    /// including the per-shard cache split. Wall-clock-bearing and
-    /// thread-schedule-dependent — export it with
+    /// including each model's cache hits, misses and wait time.
+    /// Wall-clock-bearing and thread-schedule-dependent — export it with
     /// [`Trace::write_chrome`] / [`Trace::write_jsonl`] or roll it up
     /// with [`EngineReport::metrics_summary`], but never render it into
     /// the deterministic report (the `Display` impl ignores it).
@@ -369,6 +372,7 @@ mod tests {
                     result: result("a", 10.0),
                     topology: "grid4x4".to_string(),
                     calibration: "uniform".to_string(),
+                    depth: 0,
                     routed: None,
                     verification: None,
                     route_time: Duration::from_millis(2),
@@ -378,6 +382,7 @@ mod tests {
                     result: result("b", 20.0),
                     topology: "ring16".to_string(),
                     calibration: "hotspot2".to_string(),
+                    depth: 0,
                     routed: None,
                     verification: None,
                     route_time: Duration::from_millis(1),

@@ -63,6 +63,19 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+/// 64-bit FNV-1a over bytes — the workspace's one stable,
+/// dependency-free hash. Verification seeds, sweep spec fingerprints and
+/// cell digests are all derived through it, so its output must never
+/// change.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// Number of independent span-buffer lock domains; threads map onto them
 /// by ordinal, so at realistic worker counts each thread effectively owns
 /// its buffer.
@@ -368,6 +381,13 @@ fn thread_ordinal() -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn spans_record_with_labels_keys_and_durations() {

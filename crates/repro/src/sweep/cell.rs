@@ -14,23 +14,13 @@ use super::spec::{
 use paradrive_circuit::benchmarks::{standard_suite, wide_suite};
 use paradrive_circuit::Circuit;
 use paradrive_engine::{Costing, EngineConfig, Verification, VerifyLevel};
+use paradrive_obs::fnv1a;
 use paradrive_transpiler::calibration::drift::CalibrationTimeline;
 use paradrive_transpiler::calibration::Calibration;
 use paradrive_transpiler::topology::CouplingMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// FNV-1a over bytes — the repo's stable, dependency-free hash, here
-/// deriving spec fingerprints and cell digests.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The label of a costing discipline (`hull` / `synth`).
 pub fn costing_label(c: Costing) -> &'static str {

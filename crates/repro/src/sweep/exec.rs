@@ -196,8 +196,7 @@ pub fn run_sweep_shard(
             .cache(spec.cache)
             .costing(costing)
             .noise_aware(spec.noise_aware)
-            .verify(verify)
-            .keep_routed(true);
+            .verify(verify);
 
         if plan.drift().is_some() {
             // Drift path: one fleet replay per run. Each distinct
@@ -384,8 +383,7 @@ fn sweep_cell(
         epoch: planned.epoch,
         decision,
         swaps: r.swaps,
-        // Depth is the one thing the routed circuit is kept for.
-        depth: report.routed.as_ref().map_or(0, |c| c.depth()),
+        depth: report.depth,
         blocks: r.blocks,
         baseline_duration: r.baseline_duration,
         optimized_duration: r.optimized_duration,

@@ -210,8 +210,19 @@ mod tests {
             .spans
             .iter()
             .any(|s| s.name == "route" && s.label.ends_with("#1")));
-        // Per-shard cache counters and pipeline counters rode along.
-        assert!(trace.counter("cache.baseline.shard00.hits").is_some());
+        // Cache counters (summing to the run's deterministic totals, with
+        // no per-shard split) and pipeline counters rode along.
+        let cache = out.runs[0].cache.expect("cache on");
+        let sum = |kind: &str| -> u64 {
+            ["cache.baseline", "cache.optimized"]
+                .iter()
+                .map(|p| trace.counter(&format!("{p}.{kind}")).expect(kind))
+                .sum()
+        };
+        assert_eq!((sum("hits"), sum("misses")), (cache.hits, cache.misses));
+        // Panics unless both models also carry their `OnceLock` wait time.
+        sum("wait_ns");
+        assert!(trace.counters.iter().all(|(n, _)| !n.contains("shard")));
         assert_eq!(trace.counter("route.seed_attempts"), Some(4));
         assert!(trace.counter("verify.samples").unwrap_or(0) > 0);
         // The merged export namespaces counters per run and stays valid.
